@@ -1,5 +1,7 @@
 //! Flash timing model calibrated to the paper's platform.
 
+use std::collections::VecDeque;
+
 use gmt_sim::trace::{TraceEvent, TraceSink};
 use gmt_sim::{Dur, Link, ServerPool, Time};
 use serde::{Deserialize, Serialize};
@@ -129,7 +131,7 @@ pub struct SsdDevice {
     next_sq_head: u16,
     trace: TraceSink,
     trace_index: u32,
-    pending: Vec<PendingIo>,
+    pending: VecDeque<PendingIo>,
 }
 
 /// An in-flight command tracked only while tracing, so queue depth can be
@@ -154,7 +156,7 @@ impl SsdDevice {
             next_sq_head: 0,
             trace: TraceSink::disabled(),
             trace_index: 0,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             config,
         }
     }
@@ -180,24 +182,22 @@ impl SsdDevice {
             return;
         }
         // `pending` is kept sorted by completion time at insertion, so
-        // reaping is a partition point — no per-poll sort, no scratch
-        // allocation.
-        let ready = self.pending.partition_point(|io| io.done <= now);
-        if ready == 0 {
-            return;
-        }
-        let total = self.pending.len();
-        for (i, io) in self.pending[..ready].iter().enumerate() {
+        // the ready commands are its front — popped in O(1) each, with
+        // no shift of the commands still in flight.
+        while let Some(&io) = self.pending.front() {
+            if io.done > now {
+                break;
+            }
+            self.pending.pop_front();
             self.trace.emit(
                 now,
                 TraceEvent::SsdComplete {
                     device: self.trace_index,
                     write: io.write,
-                    queue_depth: (total - 1 - i) as u32,
+                    queue_depth: self.pending.len() as u32,
                 },
             );
         }
-        self.pending.drain(..ready);
     }
 
     /// Submits `cmd` at time `now`; returns its completion time and entry.

@@ -7,6 +7,8 @@
 //! that throttles thousands of simultaneously-faulting threads (the
 //! back-pressure BaM's design section highlights).
 
+use std::collections::VecDeque;
+
 use gmt_sim::trace::{TraceEvent, TraceSink};
 use gmt_sim::Time;
 
@@ -41,7 +43,9 @@ pub struct QueuePair {
     device: SsdDevice,
     sq: SubmissionQueue,
     cq: CompletionQueue,
-    in_flight: Vec<InFlight>,
+    /// Un-reaped commands ordered by `(done_at, submission order)`: the
+    /// earliest completion is always the front.
+    in_flight: VecDeque<InFlight>,
     next_cid: u16,
     trace: TraceSink,
 }
@@ -57,7 +61,7 @@ impl QueuePair {
             device,
             sq: SubmissionQueue::new(depth),
             cq: CompletionQueue::new(depth),
-            in_flight: Vec::with_capacity(depth),
+            in_flight: VecDeque::with_capacity(depth),
             next_cid: 0,
             trace: TraceSink::disabled(),
         }
@@ -96,6 +100,19 @@ impl QueuePair {
         offset: u64,
         bytes: u64,
     ) -> Result<u16, QueueFull> {
+        self.submit_at(now, opcode, offset, bytes)
+            .map(|(cid, _)| cid)
+    }
+
+    /// [`QueuePair::submit`], also returning the command's completion
+    /// time.
+    fn submit_at(
+        &mut self,
+        now: Time,
+        opcode: Opcode,
+        offset: u64,
+        bytes: u64,
+    ) -> Result<(u16, Time), QueueFull> {
         if self.in_flight.len() >= self.sq.capacity() {
             return Err(QueueFull);
         }
@@ -109,7 +126,11 @@ impl QueuePair {
         let fetched = self.sq.pop().expect("doorbelled command is visible");
         debug_assert_eq!(fetched.cid, cid);
         let (done_at, _entry) = self.device.submit(now, fetched);
-        self.in_flight.push(InFlight { done_at, cid });
+        // Sorted insert (ties keep submission order). The device's link
+        // is a FIFO server, so completion times rise with submission
+        // order: the insertion point is the back and nothing shifts.
+        let at = self.in_flight.partition_point(|f| f.done_at <= done_at);
+        self.in_flight.insert(at, InFlight { done_at, cid });
         self.trace.emit(
             now,
             TraceEvent::RingSubmit {
@@ -118,30 +139,29 @@ impl QueuePair {
                 queue_depth: self.in_flight.len() as u32,
             },
         );
-        Ok(cid)
+        Ok((cid, done_at))
     }
 
     /// Delivers every completion with `done_at <= now` into the
-    /// completion ring; returns how many were posted.
+    /// completion ring, earliest first (ties in submission order);
+    /// returns how many were posted.
     pub fn deliver_completions(&mut self, now: Time) -> usize {
         let sq_head = self.sq.head();
         let mut posted = 0;
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].done_at <= now {
-                let f = self.in_flight.swap_remove(i);
-                self.cq.post(f.cid, 0, sq_head);
-                self.trace.emit(
-                    now,
-                    TraceEvent::RingComplete {
-                        cid: f.cid,
-                        queue_depth: self.in_flight.len() as u32,
-                    },
-                );
-                posted += 1;
-            } else {
-                i += 1;
+        while let Some(&f) = self.in_flight.front() {
+            if f.done_at > now {
+                break;
             }
+            self.in_flight.pop_front();
+            self.cq.post(f.cid, 0, sq_head);
+            self.trace.emit(
+                now,
+                TraceEvent::RingComplete {
+                    cid: f.cid,
+                    queue_depth: self.in_flight.len() as u32,
+                },
+            );
+            posted += 1;
         }
         posted
     }
@@ -187,24 +207,15 @@ impl QueuePair {
     pub fn submit_blocking(&mut self, now: Time, opcode: Opcode, offset: u64, bytes: u64) -> Time {
         let mut now = now;
         loop {
-            match self.submit(now, opcode, offset, bytes) {
-                Ok(cid) => {
-                    let done = self
-                        .in_flight
-                        .iter()
-                        .find(|f| f.cid == cid)
-                        .expect("just submitted")
-                        .done_at;
-                    return done;
-                }
+            match self.submit_at(now, opcode, offset, bytes) {
+                Ok((_, done)) => return done,
                 Err(QueueFull) => {
                     // Spin until the earliest in-flight command finishes.
                     let earliest = self
                         .in_flight
-                        .iter()
-                        .map(|f| f.done_at)
-                        .min()
-                        .expect("full ring has in-flight commands");
+                        .front()
+                        .expect("full ring has in-flight commands")
+                        .done_at;
                     now = now.max(earliest);
                     self.deliver_completions(now);
                     while self.poll().is_some() {}
@@ -262,25 +273,38 @@ mod tests {
 
     #[test]
     fn completions_deliver_in_time_order_batches() {
+        // Mixed reads and writes of mixed sizes at staggered times; the
+        // reaped cids must follow (done_at, submission) order.
         let mut q = qp(16);
-        let mut dones = Vec::new();
-        for i in 0..8u64 {
-            let cid = q
-                .submit(Time::ZERO, Opcode::Read, i * 65_536, 65_536)
+        let mut expected = Vec::new();
+        for i in 0..12u64 {
+            let (opcode, bytes) = match i % 3 {
+                0 => (Opcode::Read, 262_144),
+                1 => (Opcode::Write, 4_096),
+                _ => (Opcode::Write, 65_536),
+            };
+            let (cid, done) = q
+                .submit_at(Time::from_nanos(i * 5_000), opcode, i * 262_144, bytes)
                 .unwrap();
-            dones.push((cid, i));
+            expected.push((done, i, cid));
         }
+        expected.sort_unstable();
+        let reap = |q: &mut QueuePair| std::iter::from_fn(|| q.poll()).collect::<Vec<_>>();
         // Nothing is visible before any completion time.
         assert_eq!(q.deliver_completions(Time::ZERO), 0);
         assert!(q.poll().is_none());
-        // Everything is visible at the horizon.
+        // A cut between two completion times delivers exactly the
+        // earlier ones, earliest first.
+        let cut = expected[4].0;
+        assert!(expected[5].0 > cut);
+        assert_eq!(q.deliver_completions(cut), 5);
+        let in_order: Vec<u16> = expected.iter().map(|&(_, _, cid)| cid).collect();
+        assert_eq!(reap(&mut q), in_order[..5]);
+        // The rest arrive at the horizon, still in time order.
         let horizon = Time::from_nanos(u64::MAX / 2);
-        assert_eq!(q.deliver_completions(horizon), 8);
-        let mut reaped = 0;
-        while q.poll().is_some() {
-            reaped += 1;
-        }
-        assert_eq!(reaped, 8);
+        assert_eq!(q.deliver_completions(horizon), 7);
+        assert_eq!(reap(&mut q), in_order[5..]);
+        assert_eq!(q.in_flight(), 0);
     }
 
     #[test]

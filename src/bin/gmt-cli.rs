@@ -29,6 +29,9 @@ usage:
 systems: bam, hmm, gmt-tierorder, gmt-random, gmt-reuse
 apps:    lavamd, pathfinder, bfs, multivectoradd, srad, backprop, pagerank, sssp, hotspot";
 
+/// Smallest address space a workload can be scaled to.
+const MIN_PAGES: usize = 64;
+
 #[derive(Debug)]
 struct Options {
     app: Option<String>,
@@ -65,6 +68,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    for (flag, value) in [("--ratio", opts.ratio), ("--os", opts.os)] {
+        if !(value.is_finite() && value > 0.0) {
+            return Err(format!("{flag} must be finite and positive, got {value}"));
+        }
+    }
     Ok(opts)
 }
 
@@ -81,7 +89,13 @@ fn parse_system(name: &str) -> Result<SystemKind, String> {
 
 fn find_app(name: &str, opts: &Options) -> Result<Box<dyn Workload>, String> {
     let total = ((opts.t1 as f64) * (1.0 + opts.ratio) * opts.os).round() as usize;
-    let scale = WorkloadScale::pages(total.max(64));
+    if total < MIN_PAGES {
+        return Err(format!(
+            "--t1 {} with --ratio {} and --os {} spans {total} pages; workloads need at least {MIN_PAGES}",
+            opts.t1, opts.ratio, opts.os
+        ));
+    }
+    let scale = WorkloadScale::pages(total);
     let wanted = name.to_ascii_lowercase();
     suite(&scale)
         .into_iter()

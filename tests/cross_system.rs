@@ -2,8 +2,11 @@
 //! same traces, checked against the paper's headline relationships.
 
 use gmt::analysis::runner::{geo_mean, geometry_for, run_system, RunResult, SystemKind};
+use gmt::baselines::{Bam, BamConfig};
 use gmt::core::PolicyKind;
-use gmt::workloads::{suite, Workload, WorkloadScale};
+use gmt::gpu::{Executor, ExecutorConfig};
+use gmt::sim::trace::TraceEvent;
+use gmt::workloads::{non_graph_suite, suite, Workload, WorkloadScale};
 
 const SEED: u64 = 7;
 
@@ -191,5 +194,59 @@ fn larger_tier2_never_hurts_reuse() {
             r8.elapsed,
             r2.elapsed
         );
+    }
+}
+
+#[test]
+fn bam_ring_outputs_are_pinned() {
+    // BaM's simulated outputs are the denominator of every Fig. 8
+    // speedup; a change to the NVMe queue model must not move them.
+    // At 4,000 pages every regular app keeps BaM's 1,024-deep ring
+    // full. Columns: elapsed ns, SSD reads, SSD writes, Tier-1 hits,
+    // Tier-1 misses.
+    let pinned: [(&str, [u64; 5]); 6] = [
+        ("lavaMD", [102_737_190, 3_456, 1_555, 85, 3_456]),
+        ("Pathfinder", [85_636_390, 4_068, 108, 7_452, 4_068]),
+        ("MultiVectorAdd", [200_611_110, 6_660, 3_130, 0, 6_660]),
+        ("Srad", [974_959_910, 32_000, 15_600, 0, 32_000]),
+        ("Backprop", [1_410_159_910, 45_250, 23_600, 2_750, 45_250]),
+        ("Hotspot", [870_962_470, 31_992, 10_530, 0, 31_992]),
+    ];
+    let workloads = non_graph_suite(&WorkloadScale::pages(4_000));
+    assert_eq!(workloads.len(), pinned.len());
+    for (workload, (name, want)) in workloads.iter().zip(pinned) {
+        assert_eq!(workload.name(), name);
+        let geometry = geometry_for(workload.as_ref(), 4.0, 2.0);
+        let r = run_system(workload.as_ref(), SystemKind::Bam, &geometry, SEED);
+        let m = &r.metrics;
+        let got = [
+            r.elapsed.as_nanos(),
+            m.ssd_reads,
+            m.ssd_writes,
+            m.t1_hits,
+            m.t1_misses,
+        ];
+        assert_eq!(got, want, "{name}: BaM outputs moved");
+
+        // The same run traced: tracing changes nothing, and the ring
+        // really does fill (one slot stays empty, so full is depth - 1).
+        let config = BamConfig::new(geometry);
+        let mut bam = Bam::new(config);
+        let sink = bam.enable_tracing(1 << 20);
+        let out = Executor::new(ExecutorConfig::default()).run(bam, workload.trace(SEED));
+        assert_eq!(out.elapsed, r.elapsed, "{name}: tracing moved BaM");
+        assert_eq!(
+            out.backend.metrics(),
+            r.metrics,
+            "{name}: tracing moved BaM"
+        );
+        assert_eq!(sink.dropped(), 0);
+        let mut peak = 0;
+        sink.visit(|rec| {
+            if let TraceEvent::RingSubmit { queue_depth, .. } = rec.event {
+                peak = peak.max(queue_depth as usize);
+            }
+        });
+        assert_eq!(peak, config.queue_depth - 1, "{name}: ring never filled");
     }
 }
