@@ -201,6 +201,14 @@ pub enum ConfigError {
     ZeroTier1,
     /// Tier-2 has zero pages.
     ZeroTier2,
+    /// Tier-2 holds fewer pages than Tier-1, so Eq. 1's long-reuse
+    /// boundary would fall inside Tier-1.
+    Tier2SmallerThanTier1 {
+        /// Tier-1 capacity in pages.
+        tier1_pages: usize,
+        /// Tier-2 capacity in pages.
+        tier2_pages: usize,
+    },
     /// The address space holds zero pages.
     ZeroAddressSpace,
     /// Pages are zero bytes long.
@@ -244,6 +252,14 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroTier1 => write!(f, "tier-1 must hold at least one page"),
             ConfigError::ZeroTier2 => write!(f, "tier-2 must hold at least one page"),
+            ConfigError::Tier2SmallerThanTier1 {
+                tier1_pages,
+                tier2_pages,
+            } => write!(
+                f,
+                "tier-2 ({tier2_pages} pages) must be at least as large as tier-1 \
+                 ({tier1_pages} pages)"
+            ),
             ConfigError::ZeroAddressSpace => {
                 write!(f, "the address space must hold at least one page")
             }
@@ -356,9 +372,9 @@ impl GmtConfig {
     }
 
     /// Rejects degenerate configurations before they can panic deep in
-    /// the manager: zero-capacity tiers or pages, a prefetch degree that
-    /// would churn all of Tier-1 per fetch, and out-of-range GMT-Reuse
-    /// bypass knobs.
+    /// the manager: zero-capacity tiers or pages, a Tier-2 smaller than
+    /// Tier-1, a prefetch degree that would churn all of Tier-1 per
+    /// fetch, and out-of-range GMT-Reuse bypass knobs.
     ///
     /// [`GmtBuilder::build`](crate::GmtBuilder::build) and
     /// [`Gmt::new`](crate::Gmt::new) call this and panic with the error's
@@ -390,6 +406,12 @@ impl GmtConfig {
         }
         if g.tier2_pages == 0 {
             return Err(ConfigError::ZeroTier2);
+        }
+        if g.tier2_pages < g.tier1_pages {
+            return Err(ConfigError::Tier2SmallerThanTier1 {
+                tier1_pages: g.tier1_pages,
+                tier2_pages: g.tier2_pages,
+            });
         }
         if g.total_pages == 0 {
             return Err(ConfigError::ZeroAddressSpace);
@@ -487,6 +509,15 @@ mod tests {
         let mut zero_t2 = GmtConfig::default();
         zero_t2.geometry.tier2_pages = 0;
         assert_eq!(zero_t2.validate(), Err(ConfigError::ZeroTier2));
+
+        let small_t2 = GmtConfig::new(TierGeometry::from_tier1(8, 0.5, 2.0));
+        assert_eq!(
+            small_t2.validate(),
+            Err(ConfigError::Tier2SmallerThanTier1 {
+                tier1_pages: 8,
+                tier2_pages: 4
+            })
+        );
 
         let mut prefetch = GmtConfig::new(TierGeometry::from_tier1(8, 2.0, 2.0));
         prefetch.prefetch_degree = 8;

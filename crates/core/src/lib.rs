@@ -28,6 +28,7 @@ mod builder;
 mod config;
 mod manager;
 mod metrics;
+mod partition;
 mod tier2;
 
 pub use builder::GmtBuilder;
@@ -35,5 +36,6 @@ pub use config::{
     ConfigError, FrontendConfig, GmtConfig, MarkovScope, PolicyKind, PredictorKind, ReuseConfig,
     Tier2Insert,
 };
-pub use manager::{Gmt, LatencyBreakdown, TierSnapshot};
+pub use manager::{Gmt, LatencyBreakdown, TenantShare, TierSnapshot};
 pub use metrics::TieringMetrics;
+pub use partition::PartitionPolicy;

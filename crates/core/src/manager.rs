@@ -14,7 +14,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::tier2::Tier2Cache;
-use crate::{GmtConfig, MarkovScope, PolicyKind, PredictorKind, Tier2Insert, TieringMetrics};
+use crate::{
+    ConfigError, GmtConfig, MarkovScope, PartitionPolicy, PolicyKind, PredictorKind, Tier2Insert,
+    TieringMetrics,
+};
 
 /// Per-page state maintained by the runtime.
 #[derive(Debug, Clone)]
@@ -104,7 +107,7 @@ pub struct LatencyBreakdown {
 }
 
 /// A consistency snapshot of the runtime's tier state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierSnapshot {
     /// Pages resident in Tier-1 (GPU memory).
     pub tier1_pages: usize,
@@ -118,10 +121,56 @@ pub struct TierSnapshot {
     pub dirty_tier2: usize,
 }
 
+/// One tenant's slice of a shared runtime, as [`Gmt::with_tenants`]
+/// takes it. Which ask matters depends on the [`PartitionPolicy`]; the
+/// others are ignored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TenantShare {
+    /// First page of the tenant's range in the shared address space.
+    pub base: u64,
+    /// Pages in the tenant's range.
+    pub span: usize,
+    /// Private Tier-1 slice under [`PartitionPolicy::StrictQuota`], in
+    /// pages.
+    pub quota: usize,
+    /// Relative share of Tier-1 under [`PartitionPolicy::WeightedShares`].
+    pub weight: u32,
+    /// Eviction-exempt Tier-1 reservation under
+    /// [`PartitionPolicy::SharedQos`], in pages.
+    pub floor: usize,
+}
+
+/// Everything the runtime keeps per tenant: the reuse machinery and the
+/// tenant's counters. Tier-2, the SSDs and both PCIe directions are
+/// shared, so contention crosses tenants even when capacity does not.
+#[derive(Debug)]
+struct Tenant {
+    share: TenantShare,
+    /// The coalesced-access counter ("virtual timestamp", §2.1.3). It
+    /// ticks only on this tenant's touches, so RVTDs measure the
+    /// tenant's own reuse distance whatever the other tenants do.
+    vt: u64,
+    sampler: SamplingRegression,
+    classifier: TierClassifier,
+    markov: MarkovPredictor,
+    /// Per tenant, so one tenant's streaming phase cannot force another
+    /// tenant's victims into Tier-2.
+    bypass: BypassWindow,
+    metrics: TieringMetrics,
+    /// Pages the tenant holds in Tier-1.
+    resident: usize,
+}
+
 /// The GMT runtime (paper §2).
 ///
 /// Implements [`MemoryBackend`]: feed it coalesced warp accesses via
 /// [`gmt_gpu::Executor`] and read the [`TieringMetrics`] afterwards.
+///
+/// [`Gmt::new`] serves one address space. [`Gmt::with_tenants`] shares
+/// one hierarchy among tenants with disjoint page ranges: each tenant
+/// gets its own reuse machinery and counters, and Tier-1 is divided per
+/// a [`PartitionPolicy`]. A single-tenant runtime is the one-tenant
+/// [`PartitionPolicy::FullyShared`] case.
 ///
 /// Like the paper's measurements, a run ends when the last access's data
 /// is available: dirty pages still resident in Tier-1/Tier-2 are *not*
@@ -147,14 +196,16 @@ pub struct TierSnapshot {
 pub struct Gmt {
     config: GmtConfig,
     tier2_insert: Tier2Insert,
-    classifier: TierClassifier,
-    clock: ClockList,
+    partition: PartitionPolicy,
+    /// Ordered by ascending, disjoint page ranges.
+    tenants: Vec<Tenant>,
+    /// Tier-1: one clock per tenant under a partitioned policy, else
+    /// one shared clock.
+    clocks: Vec<ClockList>,
+    /// Whether trace records carry the tenant whose access they serve.
+    stamp_tenants: bool,
     tier2: Tier2Cache,
     table: PageTable<PageMeta>,
-    /// The coalesced-access counter ("virtual timestamp", §2.1.3).
-    vt: u64,
-    sampler: SamplingRegression,
-    markov: MarkovPredictor,
     /// Per-page matrices when [`MarkovScope::PerPage`] is configured.
     per_page_markov: Option<Vec<MarkovPredictor>>,
     ssd: SsdArray,
@@ -165,8 +216,6 @@ pub struct Gmt {
     /// Device → host path (evictions into Tier-2).
     to_host: HostLink,
     rng: StdRng,
-    bypass: BypassWindow,
-    metrics: TieringMetrics,
     latency: LatencyBreakdown,
     trace: TraceSink,
     /// Reused per-access miss buffers: `access` runs once per simulated
@@ -197,48 +246,116 @@ impl Gmt {
     /// threshold, ...). Use [`crate::GmtBuilder::try_build`] to handle
     /// the error instead.
     pub fn new(config: GmtConfig) -> Gmt {
-        if let Err(err) = config.validate() {
+        let g = &config.geometry;
+        let whole = TenantShare {
+            base: 0,
+            span: g.total_pages,
+            quota: g.tier1_pages,
+            weight: 1,
+            floor: 0,
+        };
+        match Gmt::with_tenants(config, PartitionPolicy::FullyShared, &[whole]) {
+            Ok(gmt) => Gmt {
+                stamp_tenants: false,
+                ..gmt
+            },
             // gmt-lint: allow(P1): documented panic; GmtBuilder::try_build is the typed-error path.
-            panic!("invalid GMT configuration: {err}");
+            Err(err) => panic!("invalid GMT configuration: {err}"),
         }
+    }
+
+    /// Builds a runtime shared by `tenants`, with Tier-1 divided per
+    /// `partition`. Trace records emitted while serving an access carry
+    /// the index of the tenant that issued it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] if [`GmtConfig::validate`] rejects
+    /// `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tenants' page ranges are not ascending and disjoint
+    /// or do not fit the address space.
+    pub fn with_tenants(
+        config: GmtConfig,
+        partition: PartitionPolicy,
+        tenants: &[TenantShare],
+    ) -> Result<Gmt, ConfigError> {
+        config.validate()?;
+        let mut end = 0;
+        for share in tenants {
+            assert!(share.base >= end, "tenant ranges overlap or are unsorted");
+            end = share.base + share.span as u64;
+        }
+        assert!(
+            end <= config.geometry.total_pages as u64,
+            "tenant ranges ({end} pages) exceed the address space ({} pages)",
+            config.geometry.total_pages
+        );
         let g = &config.geometry;
         // One root RNG seeds every stochastic component: child streams are
         // drawn from it (always, so the root stream does not depend on
         // which components happen to be stochastic in this configuration).
         let mut rng = gmt_sim::rng::seeded(config.seed);
         let tier2_seed: u64 = rng.gen();
-        Gmt {
-            tier2_insert: config.effective_tier2_insert(),
-            classifier: TierClassifier::from_geometry(g),
-            clock: ClockList::new(g.tier1_pages),
-            tier2: match config.effective_tier2_insert() {
+        let tier2_insert = config.effective_tier2_insert();
+        // The Tier-1 pages a tenant can hold: a strict quota's slice, or
+        // the whole tier. Eq. 1 classifies against it.
+        let slice = |share: &TenantShare| match partition {
+            PartitionPolicy::StrictQuota => share.quota,
+            _ => g.tier1_pages,
+        };
+        let tenants: Vec<Tenant> = tenants
+            .iter()
+            .map(|&share| Tenant {
+                share,
+                vt: 0,
+                sampler: SamplingRegression::new(config.reuse.sampler),
+                classifier: TierClassifier::new(slice(&share) as u64, g.tier2_pages as u64),
+                markov: MarkovPredictor::new(),
+                bypass: BypassWindow::new(config.reuse.bypass_window),
+                metrics: TieringMetrics::default(),
+                resident: 0,
+            })
+            .collect();
+        let clocks = if partition.is_partitioned() {
+            tenants
+                .iter()
+                .map(|t| ClockList::new(slice(&t.share)))
+                .collect()
+        } else {
+            vec![ClockList::new(g.tier1_pages)]
+        };
+        Ok(Gmt {
+            tier2_insert,
+            partition,
+            tenants,
+            clocks,
+            stamp_tenants: true,
+            tier2: match tier2_insert {
                 Tier2Insert::EvictClock => Tier2Cache::clock(g.tier2_pages),
                 Tier2Insert::EvictRandom => Tier2Cache::random(g.tier2_pages, tier2_seed),
                 _ => Tier2Cache::fifo(g.tier2_pages),
             },
             table: PageTable::new(g.total_pages),
-            vt: 0,
-            sampler: SamplingRegression::new(config.reuse.sampler),
-            markov: MarkovPredictor::new(),
             per_page_markov: (config.reuse.markov_scope == MarkovScope::PerPage)
                 .then(|| vec![MarkovPredictor::new(); g.total_pages]),
             ssd: SsdArray::new(ArrayConfig {
                 device: config.ssd,
-                devices: config.ssd_devices.max(1),
+                devices: config.ssd_devices,
                 stripe_bytes: g.page_bytes,
             }),
             host_io: HostIo::new(HostIoConfig::default()),
             to_gpu: HostLink::new(config.host_link),
             to_host: HostLink::new(config.host_link),
             rng,
-            bypass: BypassWindow::new(config.reuse.bypass_window.max(1)),
-            metrics: TieringMetrics::default(),
             latency: LatencyBreakdown::default(),
             trace: TraceSink::disabled(),
             scratch_tier2: Vec::new(),
             scratch_ssd: Vec::new(),
             config,
-        }
+        })
     }
 
     /// Turns on decision tracing into a fresh ring of `capacity` records
@@ -270,9 +387,59 @@ impl Gmt {
         &self.config
     }
 
-    /// Counters accumulated so far.
+    /// Counters accumulated so far, summed over every tenant.
     pub fn metrics(&self) -> TieringMetrics {
-        self.metrics
+        let mut total = TieringMetrics::default();
+        for t in &self.tenants {
+            total.merge(&t.metrics);
+        }
+        total
+    }
+
+    /// Counters accumulated for tenant `tenant` (an index into the
+    /// [`Gmt::with_tenants`] list).
+    pub fn tenant_metrics(&self, tenant: usize) -> TieringMetrics {
+        self.tenants[tenant].metrics
+    }
+
+    /// Pages tenant `tenant` holds in Tier-1.
+    pub fn tenant_resident(&self, tenant: usize) -> usize {
+        self.tenants[tenant].resident
+    }
+
+    /// Pages resident in Tier-1 across every tenant.
+    pub fn tier1_resident(&self) -> usize {
+        self.tenants.iter().map(|t| t.resident).sum()
+    }
+
+    /// The index of the tenant whose range holds `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is outside every tenant's range.
+    pub fn tenant_of(&self, page: PageId) -> usize {
+        let i = self
+            .tenants
+            .partition_point(|t| t.share.base <= page.0)
+            .checked_sub(1)
+            // gmt-lint: allow(P1): documented panic for out-of-range pages.
+            .expect("page below every tenant base");
+        let share = &self.tenants[i].share;
+        assert!(
+            page.0 < share.base + share.span as u64,
+            "{page} falls in the gap after tenant {i}"
+        );
+        i
+    }
+
+    /// [`Gmt::tenant_of`] for a page known to be in some tenant's range;
+    /// a one-tenant runtime skips the search.
+    fn owner(&self, page: PageId) -> usize {
+        if self.tenants.len() == 1 {
+            0
+        } else {
+            self.tenant_of(page)
+        }
     }
 
     /// Miss-service latency distributions (the §3.4 numbers, measured).
@@ -290,20 +457,9 @@ impl Gmt {
         self.tier2.len()
     }
 
-    /// The regression fit currently used to project RVTD → RRD.
-    pub fn current_fit(&self) -> gmt_reuse::LinearFit {
-        self.sampler.fit()
-    }
-
     /// Takes a consistency snapshot of where every page lives.
     pub fn snapshot(&self) -> TierSnapshot {
-        let mut snap = TierSnapshot {
-            tier1_pages: 0,
-            tier2_pages: 0,
-            ssd_pages: 0,
-            dirty_tier1: 0,
-            dirty_tier2: 0,
-        };
+        let mut snap = TierSnapshot::default();
         for (_, meta) in self.table.iter() {
             match meta.tier {
                 Tier::Gpu => {
@@ -321,7 +477,8 @@ impl Gmt {
     }
 
     /// Verifies the runtime's structural invariants: the page table, the
-    /// Tier-1 clock and the Tier-2 residency structure must agree, and
+    /// Tier-1 clocks, the tenants' resident counters and the Tier-2
+    /// residency structure must agree, strict quotas must hold, and
     /// every page must live in exactly one tier.
     ///
     /// # Errors
@@ -330,11 +487,11 @@ impl Gmt {
     /// for tests and debugging; O(total pages).
     pub fn check_invariants(&self) -> Result<(), String> {
         let snap = self.snapshot();
-        if snap.tier1_pages != self.clock.len() {
+        let in_clocks: usize = self.clocks.iter().map(ClockList::len).sum();
+        if snap.tier1_pages != in_clocks || in_clocks > self.config.geometry.tier1_pages {
             return Err(format!(
-                "page table says {} Tier-1 pages but the clock holds {}",
-                snap.tier1_pages,
-                self.clock.len()
+                "page table says {} Tier-1 pages but the clocks hold {in_clocks} of {}",
+                snap.tier1_pages, self.config.geometry.tier1_pages
             ));
         }
         if snap.tier2_pages != self.tier2.len() {
@@ -347,14 +504,22 @@ impl Gmt {
         if snap.tier1_pages + snap.tier2_pages + snap.ssd_pages != self.table.len() {
             return Err("tiers do not partition the address space".into());
         }
-        // Record the first violation and format it outside the loop so
-        // the per-page sweep stays allocation-free (A1).
+        // Record the first violation and format it outside the loops so
+        // the sweeps stay allocation-free (A1).
+        let mut held = vec![0usize; self.tenants.len()];
         let mut bad: Option<(PageId, &'static str)> = None;
         for (page, meta) in self.table.iter() {
-            let in_clock = self.clock.contains(page);
+            let in_clock = match meta.tier {
+                Tier::Gpu => {
+                    let owner = self.owner(page);
+                    held[owner] += 1;
+                    self.clocks[self.clock_of(owner)].contains(page)
+                }
+                _ => self.clocks.iter().any(|c| c.contains(page)),
+            };
             let in_tier2 = self.tier2.contains(page);
             let what = match meta.tier {
-                Tier::Gpu if !in_clock => Some("marked Tier-1 but absent from the clock"),
+                Tier::Gpu if !in_clock => Some("marked Tier-1 but absent from its clock"),
                 Tier::Host if !in_tier2 => Some("marked Tier-2 but absent from tier-2"),
                 Tier::Ssd if in_clock || in_tier2 => {
                     Some("marked SSD but resident in a memory tier")
@@ -370,7 +535,18 @@ impl Gmt {
         if let Some((page, what)) = bad {
             return Err(format!("{page} {what}"));
         }
-        Ok(())
+        let strict = self.partition == PartitionPolicy::StrictQuota;
+        let drifted = self
+            .tenants
+            .iter()
+            .zip(held)
+            .position(|(t, held)| t.resident != held || strict && t.resident > t.share.quota);
+        match drifted {
+            Some(i) => Err(format!(
+                "tenant {i}'s resident counter disagrees with its Tier-1 pages or quota"
+            )),
+            None => Ok(()),
+        }
     }
 
     fn page_bytes(&self) -> u64 {
@@ -381,22 +557,47 @@ impl Gmt {
         page.0 * self.page_bytes()
     }
 
-    /// Bookkeeping when `page` re-enters Tier-1: its actual RVTD since the
-    /// last eviction is now known, so the correct tier can be computed
-    /// (Eq. 1 over the regression-projected RRD), the Markov chain
-    /// trained, and the old prediction graded (Fig. 9).
-    fn on_refill(&mut self, now: Time, page: PageId) {
-        let fit = self.sampler.fit();
-        let vt = self.vt;
-        let classifier = self.classifier;
+    /// The clock holding tenant `t`'s Tier-1 pages.
+    fn clock_of(&self, t: usize) -> usize {
+        if self.partition.is_partitioned() {
+            t
+        } else {
+            0
+        }
+    }
+
+    /// Free Tier-1 slots available to a fault by tenant `t`.
+    fn free_slots(&self, t: usize) -> usize {
+        if self.partition == PartitionPolicy::WeightedShares {
+            self.config.geometry.tier1_pages - self.tier1_resident()
+        } else {
+            let clock = &self.clocks[self.clock_of(t)];
+            clock.capacity() - clock.len()
+        }
+    }
+
+    /// Installs `page` in tenant `t`'s Tier-1.
+    fn install(&mut self, t: usize, page: PageId) {
+        let c = self.clock_of(t);
+        self.clocks[c].insert(page);
+        self.tenants[t].resident += 1;
+    }
+
+    /// Bookkeeping when `page`, owned by tenant `t`, re-enters Tier-1:
+    /// its actual RVTD since the last eviction is now known, so the
+    /// correct tier can be computed (Eq. 1 over the regression-projected
+    /// RRD), the Markov chain trained, and the old prediction graded
+    /// (Fig. 9).
+    fn on_refill(&mut self, now: Time, t: usize, page: PageId) {
+        let tenant = &mut self.tenants[t];
         let meta = self.table.get_mut(page);
         if let Some(evicted_vt) = meta.evicted_at_vt.take() {
-            let rvtd = vt.saturating_sub(evicted_vt);
-            let correct = classifier.classify_rvtd(rvtd, &fit);
+            let rvtd = tenant.vt.saturating_sub(evicted_vt);
+            let correct = tenant.classifier.classify_rvtd(rvtd, &tenant.sampler.fit());
             if let Some(predicted) = meta.predicted.take() {
-                self.metrics.predictions += 1;
+                tenant.metrics.predictions += 1;
                 if predicted == correct {
-                    self.metrics.predictions_correct += 1;
+                    tenant.metrics.predictions_correct += 1;
                 }
                 self.trace.emit(
                     now,
@@ -408,17 +609,16 @@ impl Gmt {
                     },
                 );
             }
-            let mut history = self.table.get(page).history;
             let matrix = match &mut self.per_page_markov {
                 Some(per_page) => &mut per_page[page.index()],
-                None => &mut self.markov,
+                None => &mut tenant.markov,
             };
-            history.observe(correct, matrix);
-            self.table.get_mut(page).history = history;
+            meta.history.observe(correct, matrix);
         }
     }
 
-    /// Predicts the tier an eviction candidate's next reuse falls into.
+    /// Predicts the tier an eviction candidate owned by tenant `owner`
+    /// next reuses in.
     ///
     /// With history, this is the Markov chain's heaviest transition out of
     /// the last correct tier (§2.1.3 step 2). A page with no completed
@@ -427,13 +627,13 @@ impl Gmt {
     /// never re-touched during their Tier-1 residency look like streams
     /// and default to the long-reuse class; anything with observed reuse
     /// defaults to Tier-2, TierOrder-style.
-    fn predict_tier(&self, page: PageId) -> Tier {
+    fn predict_tier(&self, page: PageId, owner: usize) -> Tier {
         let meta = self.table.get(page);
         match meta.history.last() {
             Some(last) => match self.config.reuse.predictor {
                 PredictorKind::Markov => match &self.per_page_markov {
                     Some(per_page) => per_page[page.index()].predict(last),
-                    None => self.markov.predict(last),
+                    None => self.tenants[owner].markov.predict(last),
                 },
                 PredictorKind::LastTier => last,
                 PredictorKind::AlwaysHost => Tier::Host,
@@ -443,100 +643,152 @@ impl Gmt {
         }
     }
 
-    /// Selects a victim and destination under GMT-Reuse: short-reuse
-    /// candidates get another chance (bounded by `max_skips`), and the
-    /// 80 % heuristic can force predicted-Tier-3 victims into Tier-2.
-    fn reuse_select(&mut self) -> (PageId, Tier, Tier) {
-        for _ in 0..self.config.reuse.max_skips {
+    /// The weighted-shares victim tenant: the one furthest above its
+    /// weighted share (largest resident-per-weight), among tenants that
+    /// hold anything at all. Work-conserving: idle tenants' capacity is
+    /// reclaimed from whoever borrowed the most.
+    fn most_over_share(&self) -> usize {
+        self.tenants
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.resident > 0)
+            .max_by(|(_, a), (_, b)| {
+                let ka = a.resident as f64 / a.share.weight as f64;
+                let kb = b.resident as f64 / b.share.weight as f64;
+                // gmt-lint: allow(P1): weights are validated non-zero, so ratios are never NaN.
+                ka.partial_cmp(&kb).expect("ratios are finite")
+            })
+            .map(|(i, _)| i)
+            // gmt-lint: allow(P1): eviction only runs once tier-1 is full, so a tenant has pages.
+            .expect("eviction requested from an empty tier-1")
+    }
+
+    /// Selects the Tier-1 victim of a fault by tenant `t`; returns
+    /// `(victim, target tier, predicted tier)`. The clock scanned is the
+    /// shared one, `t`'s own under a strict quota, or that of the tenant
+    /// furthest above its weighted share; that clock's `account` tenant
+    /// is charged the short-reuse keeps and the bypass window.
+    ///
+    /// Under shared QoS, candidates of another tenant at or below its
+    /// floor are skipped first and never count as keeps (admission keeps
+    /// `Σ floors < tier1_pages`, so some candidate is evictable).
+    /// GMT-Reuse keeps up to `max_skips` short-reuse candidates; the next
+    /// candidate goes to Tier-2 without a prediction.
+    fn select_victim(&mut self, t: usize) -> (PageId, Tier, Tier) {
+        let account = match self.partition {
+            PartitionPolicy::WeightedShares => self.most_over_share(),
+            _ => t,
+        };
+        let c = self.clock_of(account);
+        let qos = self.partition == PartitionPolicy::SharedQos;
+        let mut keeps = 0;
+        let mut floor_skips = 0;
+        loop {
             // gmt-lint: allow(P1): eviction only runs once tier-1 is full, so the clock is non-empty.
-            let candidate = self.clock.candidate().expect("tier-1 is full");
-            let predicted = self.predict_tier(candidate);
-            if predicted == Tier::Gpu {
-                self.metrics.short_reuse_keeps += 1;
-                self.clock.skip_candidate();
+            let candidate = self.clocks[c].candidate().expect("tier-1 is full");
+            let owner = self.owner(candidate);
+            if qos && owner != t && self.tenants[owner].resident <= self.tenants[owner].share.floor
+            {
+                // Floor skips re-arm reference bits, so one extra lap
+                // clears them; 4 laps bounds the scan far above any
+                // reachable case.
+                floor_skips += 1;
+                assert!(
+                    floor_skips <= 4 * self.clocks[c].capacity(),
+                    "no evictable page found; admission floors must be violated"
+                );
+                self.clocks[c].skip_candidate();
                 continue;
             }
-            self.bypass.push(predicted == Tier::Ssd);
-            let mut target = predicted;
-            if predicted == Tier::Ssd {
-                if let Some(f) = self.bypass.t3_fraction() {
-                    if f > self.config.reuse.bypass_threshold {
-                        target = Tier::Host;
-                        self.metrics.forced_t2_placements += 1;
+            let (target, predicted) = match self.config.policy {
+                PolicyKind::TierOrder => (Tier::Host, Tier::Host),
+                PolicyKind::Random => {
+                    let tier = if self.rng.gen_bool(0.5) {
+                        Tier::Host
+                    } else {
+                        Tier::Ssd
+                    };
+                    (tier, tier)
+                }
+                PolicyKind::Reuse if keeps == self.config.reuse.max_skips => {
+                    // Everything looked short-reuse: evict the clock's
+                    // pick to Tier-2 without predicting it.
+                    self.tenants[account].bypass.push(false);
+                    (Tier::Host, Tier::Gpu)
+                }
+                PolicyKind::Reuse => {
+                    let predicted = self.predict_tier(candidate, owner);
+                    if predicted == Tier::Gpu {
+                        keeps += 1;
+                        self.tenants[account].metrics.short_reuse_keeps += 1;
+                        self.clocks[c].skip_candidate();
+                        continue;
+                    }
+                    // The §2.2 heuristic: under Tier-3 pressure a
+                    // predicted-Tier-3 victim goes to Tier-2 anyway.
+                    let threshold = self.config.reuse.bypass_threshold;
+                    let tenant = &mut self.tenants[account];
+                    tenant.bypass.push(predicted == Tier::Ssd);
+                    let pressure = tenant.bypass.t3_fraction().is_some_and(|f| f > threshold);
+                    if predicted == Tier::Ssd && pressure {
+                        tenant.metrics.forced_t2_placements += 1;
+                        (Tier::Host, predicted)
+                    } else {
+                        (predicted, predicted)
                     }
                 }
-            }
-            let victim = self.clock.evict_candidate();
+            };
+            let victim = self.clocks[c].evict_candidate();
             debug_assert_eq!(victim, candidate);
             return (victim, target, predicted);
         }
-        // Everything looks short-reuse: evict the clock's pick anyway.
-        let victim = self.clock.evict_candidate();
-        self.bypass.push(false);
-        (victim, Tier::Host, Tier::Gpu)
     }
 
-    /// Evicts one page from Tier-1 to make room; returns when the warp
-    /// performing the eviction is done with it.
-    fn evict_one(&mut self, now: Time) -> Time {
-        let (victim, target, predicted) = match self.config.policy {
-            PolicyKind::TierOrder => {
-                let v = self.clock.evict_candidate();
-                (v, Tier::Host, Tier::Host)
-            }
-            PolicyKind::Random => {
-                let v = self.clock.evict_candidate();
-                let t = if self.rng.gen_bool(0.5) {
-                    Tier::Host
-                } else {
-                    Tier::Ssd
-                };
-                (v, t, t)
-            }
-            PolicyKind::Reuse => self.reuse_select(),
-        };
-        self.metrics.t1_evictions += 1;
-        {
-            let vt = self.vt;
-            let meta = self.table.get_mut(victim);
-            meta.evicted_at_vt = Some(vt);
-            meta.predicted = (self.config.policy == PolicyKind::Reuse).then_some(predicted);
-        }
+    /// Evicts one Tier-1 page to make room for a fault by tenant `t`;
+    /// returns when the warp performing the eviction is done with it.
+    fn evict_one(&mut self, now: Time, t: usize) -> Time {
+        let (victim, target, predicted) = self.select_victim(t);
+        let owner = self.owner(victim);
+        self.tenants[owner].resident -= 1;
+        self.tenants[t].metrics.t1_evictions += 1;
+        let reuse = self.config.policy == PolicyKind::Reuse;
+        let meta = self.table.get_mut(victim);
+        meta.evicted_at_vt = Some(self.tenants[owner].vt);
+        meta.predicted = reuse.then_some(predicted);
         if self.trace.is_enabled() {
             self.trace.emit(
                 now,
                 TraceEvent::Eviction {
                     page: victim.0,
-                    predicted: (self.config.policy == PolicyKind::Reuse)
-                        .then(|| tier_tag(predicted)),
+                    predicted: reuse.then(|| tier_tag(predicted)),
                     target: tier_tag(target),
-                    dirty: self.table.get(victim).dirty,
+                    dirty: meta.dirty,
                 },
             );
         }
         match target {
-            Tier::Host => self.place_in_tier2(now, victim),
-            _ => self.bypass_to_ssd(now, victim),
+            Tier::Host => self.place_in_tier2(now, t, victim),
+            _ => self.bypass_to_ssd(now, t, victim),
         }
     }
 
     /// Places `victim` into Tier-2, spilling or rejecting per the
-    /// configured insertion mode. Returns the eviction's critical-path
-    /// completion time.
-    fn place_in_tier2(&mut self, now: Time, victim: PageId) -> Time {
+    /// configured insertion mode, on behalf of tenant `t`. Returns the
+    /// eviction's critical-path completion time.
+    fn place_in_tier2(&mut self, now: Time, t: usize, victim: PageId) -> Time {
         let inserted = match self.tier2_insert {
             Tier2Insert::RejectWhenFull => self.tier2.insert_if_room(victim),
             _ => {
                 if let Some(t2_victim) = self.tier2.insert_evicting(victim) {
-                    self.drop_from_tier2(now, t2_victim);
+                    self.drop_from_tier2(now, t, t2_victim);
                 }
                 true
             }
         };
         if !inserted {
-            return self.bypass_to_ssd(now, victim);
+            return self.bypass_to_ssd(now, t, victim);
         }
-        self.metrics.t2_placements += 1;
+        self.tenants[t].metrics.t2_placements += 1;
         if self.trace.is_enabled() {
             self.trace.emit(
                 now,
@@ -552,21 +804,19 @@ impl Gmt {
             threads: 32,
         };
         let done = self.to_host.transfer(now, batch, self.config.transfer);
-        self.table.get_mut(victim).tier = Tier::Host;
-        self.table.get_mut(victim).ready_at = done;
+        let meta = self.table.get_mut(victim);
+        meta.tier = Tier::Host;
+        meta.ready_at = done;
         done
     }
 
     /// Handles a page leaving Tier-2 (FIFO spill): dirty pages are written
     /// back by host userspace I/O, off the GPU's critical path.
-    fn drop_from_tier2(&mut self, now: Time, t2_victim: PageId) {
-        let dirty = {
-            let meta = self.table.get_mut(t2_victim);
-            let dirty = meta.dirty;
-            meta.tier = Tier::Ssd;
-            meta.dirty = false;
-            dirty
-        };
+    fn drop_from_tier2(&mut self, now: Time, t: usize, t2_victim: PageId) {
+        let meta = self.table.get_mut(t2_victim);
+        let dirty = meta.dirty;
+        meta.tier = Tier::Ssd;
+        meta.dirty = false;
         self.trace.emit(
             now,
             TraceEvent::Tier2Spill {
@@ -575,63 +825,137 @@ impl Gmt {
             },
         );
         if dirty {
-            self.metrics.t2_writebacks += 1;
+            self.tenants[t].metrics.t2_writebacks += 1;
             let offset = self.ssd_offset(t2_victim);
             let bytes = self.page_bytes();
             // Host userspace I/O: off the GPU's critical path (§2.3).
             self.host_io.write(now, &mut self.ssd, offset, bytes);
         } else {
-            self.metrics.t2_drops += 1;
+            self.tenants[t].metrics.t2_drops += 1;
         }
     }
 
     /// Bypasses `victim` straight to Tier-3: clean pages are simply
     /// dropped (their content is already on the SSD), dirty pages are
     /// written by the evicting warp through the GPU-direct NVMe path.
-    fn bypass_to_ssd(&mut self, now: Time, victim: PageId) -> Time {
-        let dirty = {
-            let meta = self.table.get_mut(victim);
-            let dirty = meta.dirty;
-            meta.tier = Tier::Ssd;
-            meta.dirty = false;
-            dirty
-        };
+    fn bypass_to_ssd(&mut self, now: Time, t: usize, victim: PageId) -> Time {
+        let meta = self.table.get_mut(victim);
+        let dirty = meta.dirty;
+        meta.tier = Tier::Ssd;
+        meta.dirty = false;
         if dirty {
-            self.metrics.ssd_writes += 1;
+            self.tenants[t].metrics.ssd_writes += 1;
             self.trace
                 .emit(now, TraceEvent::SsdWriteBack { page: victim.0 });
             let offset = self.ssd_offset(victim);
             let bytes = self.page_bytes();
             self.ssd.write(now, offset, bytes)
         } else {
-            self.metrics.discards += 1;
+            self.tenants[t].metrics.discards += 1;
             self.trace
                 .emit(now, TraceEvent::EvictDiscard { page: victim.0 });
             now
         }
     }
-}
 
-impl Gmt {
-    /// Speculatively pulls `page` from the SSD into Tier-1 without gating
-    /// any warp. No-op if the page is outside the address space, already
-    /// off the SSD, or Tier-1 churn would be required and the clock's
-    /// candidate is busy — prefetching never forces an eviction beyond
-    /// what the policy would do anyway.
-    fn prefetch(&mut self, now: Time, page: PageId) {
-        if page.index() >= self.table.len() || self.table.get(page).tier != Tier::Ssd {
+    /// Makes room for, then fills, one batch of tenant `t`'s misses that
+    /// fits its Tier-1 at once. Returns when the batch's data is in
+    /// Tier-1 and, unless eviction runs in the background, its evictions
+    /// are done. The evicting warp performs each eviction transfer, but
+    /// it proceeds in parallel with the fetch (opposite PCIe direction /
+    /// staging buffers).
+    fn fill(&mut self, now: Time, t: usize, from_tier2: &[PageId], from_ssd: &[PageId]) -> Time {
+        let mut ready = now;
+        let missing = from_tier2.len() + from_ssd.len();
+        for _ in 0..missing.saturating_sub(self.free_slots(t)) {
+            let done = self.evict_one(now, t);
+            if !self.config.async_eviction {
+                ready = ready.max(done);
+            }
+        }
+
+        // Every miss probes Tier-2 before touching the SSD (§3.4).
+        let probe_done = now + self.to_gpu.lookup_cost();
+
+        if !from_tier2.is_empty() {
+            self.tenants[t].metrics.t2_hits += from_tier2.len() as u64;
+            let mut start = probe_done;
+            for &page in from_tier2 {
+                self.trace.emit(now, TraceEvent::Tier2Hit { page: page.0 });
+                // An in-flight placement must land before it can be read.
+                start = start.max(self.table.get(page).ready_at);
+                self.tier2.remove(page);
+            }
+            let batch = TransferBatch {
+                pages: from_tier2.len(),
+                page_bytes: self.page_bytes(),
+                threads: 32,
+            };
+            let done = self.to_gpu.transfer(start, batch, self.config.transfer);
+            self.latency
+                .tier2_fetch_ns
+                .record(done.since(now).as_nanos());
+            for &page in from_tier2 {
+                self.land(now, t, page, TierTag::Host, done);
+            }
+            ready = ready.max(done);
+        }
+
+        for &page in from_ssd {
+            self.tenants[t].metrics.wasteful_lookups += 1;
+            self.tenants[t].metrics.ssd_reads += 1;
+            self.trace
+                .emit(now, TraceEvent::WastefulLookup { page: page.0 });
+            let offset = self.ssd_offset(page);
+            let bytes = self.page_bytes();
+            let done = self.ssd.read(probe_done, offset, bytes);
+            self.latency.ssd_fetch_ns.record(done.since(now).as_nanos());
+            self.land(now, t, page, TierTag::Ssd, done);
+            ready = ready.max(done);
+        }
+        ready
+    }
+
+    /// Installs demand-fetched `page` in tenant `t`'s Tier-1, its data
+    /// arriving from `source` at `done`.
+    fn land(&mut self, now: Time, t: usize, page: PageId, source: TierTag, done: Time) {
+        self.install(t, page);
+        self.on_refill(now, t, page);
+        if self.trace.is_enabled() {
+            self.trace.emit(
+                now,
+                TraceEvent::Tier1Fill {
+                    page: page.0,
+                    source,
+                    ready_ns: done.as_nanos(),
+                },
+            );
+        }
+        let meta = self.table.get_mut(page);
+        meta.tier = Tier::Gpu;
+        meta.ready_at = done;
+        meta.touches_since_load = 1;
+    }
+
+    /// Speculatively pulls `page` from the SSD into tenant `t`'s Tier-1
+    /// without gating any warp. No-op if the page is outside the
+    /// tenant's range or already off the SSD. Prefetching evicts at most
+    /// one page, and only when Tier-1 has no free slot for it.
+    fn prefetch(&mut self, now: Time, t: usize, page: PageId) {
+        let share = self.tenants[t].share;
+        if page.0 >= share.base + share.span as u64 || self.table.get(page).tier != Tier::Ssd {
             return;
         }
-        if self.clock.is_full() {
-            self.evict_one(now);
+        if self.free_slots(t) == 0 {
+            self.evict_one(now, t);
         }
-        self.metrics.prefetches += 1;
+        self.tenants[t].metrics.prefetches += 1;
         self.trace.emit(now, TraceEvent::Prefetch { page: page.0 });
         let offset = self.ssd_offset(page);
         let bytes = self.page_bytes();
         let done = self.ssd.read(now, offset, bytes);
-        self.clock.insert(page);
-        self.on_refill(now, page);
+        self.install(t, page);
+        self.on_refill(now, t, page);
         let meta = self.table.get_mut(page);
         meta.tier = Tier::Gpu;
         meta.ready_at = done;
@@ -641,141 +965,81 @@ impl Gmt {
 
 impl MemoryBackend for Gmt {
     fn access(&mut self, now: Time, access: &WarpAccess) -> Time {
-        self.metrics.accesses += 1;
+        let t = self.owner(access.pages.first());
+        if self.stamp_tenants {
+            // The per-tenant report is distilled from these stamps.
+            self.trace.set_tenant(Some(t as u32));
+        }
+        let c = self.clock_of(t);
         let mut ready = now;
         // Scratch buffers live on the struct; `take` swaps in empties
         // (no allocation) and the tail of this fn puts them back.
         let mut tier2_fetches: Vec<PageId> = std::mem::take(&mut self.scratch_tier2);
         let mut ssd_fetches: Vec<PageId> = std::mem::take(&mut self.scratch_ssd);
+        let tenant = &mut self.tenants[t];
+        let clock = &mut self.clocks[c];
+        let TenantShare { base, span, .. } = tenant.share;
+        tenant.metrics.accesses += 1;
         for page in access.pages.iter() {
+            // A warp access stays inside one tenant's range.
             assert!(
-                page.index() < self.table.len(),
-                "page {page} outside the configured address space"
+                page.0.wrapping_sub(base) < span as u64,
+                "page {page} outside the configured address space of tenant {t}"
             );
             // One coalesced transaction per distinct page: the virtual
             // timestamp advances per transaction (§2.1.3), keeping RVTD in
             // the same distinct-touch units the regression is trained on.
-            self.vt += 1;
-            self.trace.set_vt(self.vt);
-            if !self.sampler.is_complete() {
-                self.sampler.observe(page);
+            tenant.vt += 1;
+            self.trace.set_vt(tenant.vt);
+            if !tenant.sampler.is_complete() {
+                tenant.sampler.observe(page);
             }
-            let meta = self.table.get(page);
+            let meta = self.table.get_mut(page);
             match meta.tier {
                 Tier::Gpu => {
                     ready = ready.max(meta.ready_at);
-                    self.clock.touch(page);
-                    self.metrics.t1_hits += 1;
-                    self.table.get_mut(page).touches_since_load += 1;
+                    meta.touches_since_load += 1;
+                    clock.touch(page);
+                    tenant.metrics.t1_hits += 1;
                     self.trace.emit(now, TraceEvent::Tier1Hit { page: page.0 });
                 }
-                Tier::Host => {
+                tier => {
+                    let resident = tier_tag(tier);
                     self.trace.emit(
                         now,
                         TraceEvent::Tier1Miss {
                             page: page.0,
-                            resident: TierTag::Host,
+                            resident,
                         },
                     );
-                    tier2_fetches.push(page);
-                }
-                Tier::Ssd => {
-                    self.trace.emit(
-                        now,
-                        TraceEvent::Tier1Miss {
-                            page: page.0,
-                            resident: TierTag::Ssd,
-                        },
-                    );
-                    ssd_fetches.push(page);
+                    match tier {
+                        Tier::Host => tier2_fetches.push(page),
+                        _ => ssd_fetches.push(page),
+                    }
                 }
             }
         }
 
         let missing = tier2_fetches.len() + ssd_fetches.len();
-        self.metrics.t1_misses += missing as u64;
+        tenant.metrics.t1_misses += missing as u64;
 
-        // Make room in Tier-1 — one eviction per incoming page beyond the
-        // free slots. The evicting warp performs the transfer, so its
-        // completion gates the warp, but it proceeds in parallel with the
-        // fetch (opposite PCIe direction / staging buffers).
-        let free_slots = self.clock.capacity() - self.clock.len();
-        for _ in 0..missing.saturating_sub(free_slots) {
-            let done = self.evict_one(now);
-            if !self.config.async_eviction {
-                ready = ready.max(done);
-            }
-        }
-
-        // Every miss probes Tier-2 before touching the SSD (§3.4).
-        let lookup = self.to_gpu.lookup_cost();
-        let probe_done = now + lookup;
-
-        if !tier2_fetches.is_empty() {
-            self.metrics.t2_hits += tier2_fetches.len() as u64;
-            let mut start = probe_done;
-            for &page in &tier2_fetches {
-                self.trace.emit(now, TraceEvent::Tier2Hit { page: page.0 });
-                // An in-flight placement must land before it can be read.
-                start = start.max(self.table.get(page).ready_at);
-                self.tier2.remove(page);
-            }
-            let batch = TransferBatch {
-                pages: tier2_fetches.len(),
-                page_bytes: self.page_bytes(),
-                threads: 32,
-            };
-            let done = self.to_gpu.transfer(start, batch, self.config.transfer);
-            self.latency
-                .tier2_fetch_ns
-                .record(done.since(now).as_nanos());
-            for &page in &tier2_fetches {
-                self.clock.insert(page);
-                self.on_refill(now, page);
-                if self.trace.is_enabled() {
-                    self.trace.emit(
-                        now,
-                        TraceEvent::Tier1Fill {
-                            page: page.0,
-                            source: TierTag::Host,
-                            ready_ns: done.as_nanos(),
-                        },
-                    );
-                }
-                let meta = self.table.get_mut(page);
-                meta.tier = Tier::Gpu;
-                meta.ready_at = done;
-                meta.touches_since_load = 1;
-            }
+        // A warp can miss more distinct pages than the tenant's Tier-1
+        // holds at once: serve the misses (Tier-2 ones first) in batches
+        // that fit, so a later batch may evict an earlier one's pages.
+        let room = clock.capacity();
+        let (mut from_t2, mut from_ssd) = (0, 0);
+        while from_t2 + from_ssd < missing {
+            let n_t2 = (tier2_fetches.len() - from_t2).min(room);
+            let n_ssd = (ssd_fetches.len() - from_ssd).min(room - n_t2);
+            let done = self.fill(
+                now,
+                t,
+                &tier2_fetches[from_t2..from_t2 + n_t2],
+                &ssd_fetches[from_ssd..from_ssd + n_ssd],
+            );
             ready = ready.max(done);
-        }
-
-        for &page in &ssd_fetches {
-            self.metrics.wasteful_lookups += 1;
-            self.metrics.ssd_reads += 1;
-            self.trace
-                .emit(now, TraceEvent::WastefulLookup { page: page.0 });
-            let offset = self.ssd_offset(page);
-            let bytes = self.page_bytes();
-            let done = self.ssd.read(probe_done, offset, bytes);
-            self.latency.ssd_fetch_ns.record(done.since(now).as_nanos());
-            self.clock.insert(page);
-            self.on_refill(now, page);
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    now,
-                    TraceEvent::Tier1Fill {
-                        page: page.0,
-                        source: TierTag::Ssd,
-                        ready_ns: done.as_nanos(),
-                    },
-                );
-            }
-            let meta = self.table.get_mut(page);
-            meta.tier = Tier::Gpu;
-            meta.ready_at = done;
-            meta.touches_since_load = 1;
-            ready = ready.max(done);
+            from_t2 += n_t2;
+            from_ssd += n_ssd;
         }
 
         // Sequential prefetch (extension, off by default): pull the pages
@@ -784,7 +1048,7 @@ impl MemoryBackend for Gmt {
             let degree = self.config.prefetch_degree as u64;
             for &p in &ssd_fetches {
                 for d in 1..=degree {
-                    self.prefetch(now, PageId(p.0 + d));
+                    self.prefetch(now, t, PageId(p.0 + d));
                 }
             }
         }
@@ -793,6 +1057,9 @@ impl MemoryBackend for Gmt {
             for page in access.pages.iter() {
                 self.table.get_mut(page).dirty = true;
             }
+        }
+        if self.stamp_tenants {
+            self.trace.set_tenant(None);
         }
         tier2_fetches.clear();
         ssd_fetches.clear();
@@ -952,7 +1219,10 @@ mod tests {
         }
         let m = gmt.metrics();
         assert!(m.predictions > 0, "round trips must grade predictions");
-        assert!(gmt.markov.total() > 0, "markov chain must have trained");
+        assert!(
+            gmt.tenants[0].markov.total() > 0,
+            "markov chain must have trained"
+        );
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //!   generation (uniform, Poisson, bursty) per tenant; schedules are
 //!   merged into one interleaved stream and replayed through
 //!   [`gmt_gpu::Executor::run_arrivals`].
-//! * [`TieredService`] — the shared hierarchy itself: per-tenant
-//!   Tier-1 organization, one shared Tier-2, one shared SSD array and
-//!   PCIe links (contention is shared even when capacity is not), and
-//!   *per-tenant* reuse machinery so one tenant's access pattern never
-//!   poisons another's predictions.
+//! * [`TieredService`] — the shared hierarchy itself: one
+//!   [`gmt_core::Gmt`] runtime with Tier-1 divided per the policy, one
+//!   shared Tier-2, SSD array and PCIe path (contention is shared even
+//!   when capacity is not), and *per-tenant* reuse machinery so one
+//!   tenant's access pattern never poisons another's predictions.
 //! * [`ServeReport`] — per-tenant hit rates, miss-service latency
 //!   percentiles and the Jain fairness index, straight from the
 //!   tenant-stamped trace stream.
@@ -38,14 +38,13 @@
 #![warn(missing_docs)]
 
 mod arrival;
-mod partition;
 mod report;
 mod runtime;
 mod tenant;
 
 pub use arrival::ArrivalSchedule;
+pub use gmt_core::PartitionPolicy;
 pub use gmt_sim::trace::SloClass;
-pub use partition::PartitionPolicy;
 pub use report::{ServeReport, TenantReport};
 pub use runtime::{ServeConfig, ServeOutcome, TieredService};
 pub use tenant::{AdmissionError, TenantId, TenantRegistry, TenantSpec};
