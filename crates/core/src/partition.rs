@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How the shared Tier-1 (GPU memory) is divided among tenants.
 ///
 /// Tier-2, the SSD array and both PCIe directions are *always* shared —
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// | [`WeightedShares`](PartitionPolicy::WeightedShares) | proportional under contention | yes |
 /// | [`SharedQos`](PartitionPolicy::SharedQos) | floor only | yes |
 /// | [`FullyShared`](PartitionPolicy::FullyShared) | none | yes |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionPolicy {
     /// Each tenant owns a fixed slice of Tier-1 proportional to its
     /// share and may never exceed it, even when the rest sits idle.

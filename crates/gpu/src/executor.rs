@@ -6,7 +6,6 @@ use std::collections::BinaryHeap;
 use gmt_mem::WarpAccess;
 use gmt_sim::trace::{TraceEvent, TraceSink};
 use gmt_sim::{Dur, Time};
-use serde::{Deserialize, Serialize};
 
 /// A tiering runtime as seen by the GPU: something that services one
 /// coalesced warp access and reports when the warp may resume.
@@ -37,7 +36,7 @@ impl<B: MemoryBackend + ?Sized> MemoryBackend for &mut B {
 }
 
 /// Executor parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
     /// Resident warp contexts issuing concurrently. An A100 sustains
     /// thousands (108 SMs × up to 64 warps); the default keeps the same

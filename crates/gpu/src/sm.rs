@@ -13,12 +13,11 @@ use std::collections::BinaryHeap;
 
 use gmt_mem::WarpAccess;
 use gmt_sim::{Dur, FifoServer, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::{MemoryBackend, RunOutcome};
 
 /// SM-level executor parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmConfig {
     /// Streaming multiprocessors (A100: 108).
     pub sms: usize,
