@@ -385,9 +385,8 @@ fn u1_fix_rewrites_before_into_after_byte_for_byte() {
 /// flow-family suppressions (G1/R1/R2) must be version-stamped
 /// (`[G1/2]`, `[R1/1]`, `[R2/1]`) so a rule-precision bump forces a
 /// re-audit, and must live exactly where they are documented: the
-/// shared trace ring (G1, `crates/sim/src/trace.rs`) and the pipelined
-/// regression worker (R1/R2, `crates/reuse/src/sampler.rs`) plus the
-/// trace ring's post-run collection points (R1).
+/// shared trace ring (G1) and its post-run collection points (R1), both
+/// in `crates/sim/src/trace.rs`. No R2 cell is sanctioned.
 #[test]
 fn workspace_suppressions_are_inventoried_and_justified() {
     fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -467,20 +466,10 @@ fn workspace_suppressions_are_inventoried_and_justified() {
     r1_sites.dedup();
     assert_eq!(
         r1_sites,
-        vec![
-            "crates/reuse/src/sampler.rs".to_string(),
-            "crates/sim/src/trace.rs".to_string(),
-        ],
-        "R1 suppressions: the pipelined fit's hand-off/shutdown and the \
-         trace ring's post-run collection points"
+        vec!["crates/sim/src/trace.rs".to_string()],
+        "R1 suppressions: the trace ring's post-run collection points"
     );
-    r2_sites.sort();
-    r2_sites.dedup();
-    assert_eq!(
-        r2_sites,
-        vec!["crates/reuse/src/sampler.rs".to_string()],
-        "exactly one sanctioned R2 cell: the pipelined fit's shared lock"
-    );
+    assert!(r2_sites.is_empty(), "no sanctioned R2 cell: {r2_sites:?}");
 }
 
 /// The workspace itself must hold every invariant the lint enforces —

@@ -32,4 +32,4 @@ pub use classify::TierClassifier;
 pub use markov::{MarkovPredictor, PageHistory};
 pub use olken::{Distance, ReuseTracker};
 pub use ols::{LinearFit, Ols};
-pub use sampler::{PipelinedRegression, SamplerConfig, SamplingRegression};
+pub use sampler::{SamplerConfig, SamplingRegression};
