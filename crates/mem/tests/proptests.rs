@@ -43,9 +43,25 @@ proptest! {
         index in any::<prop::sample::Index>(),
         byte in any::<u8>(),
     ) {
-        let mut bytes = trace::encode(&accesses).to_vec();
+        let mut bytes = trace::encode(&accesses);
         let i = index.index(bytes.len());
         bytes[i] = byte;
+        let _ = trace::decode(&bytes);
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic(
+        tail in proptest::collection::vec(any::<u8>(), 0..256),
+        prefixed in any::<bool>(),
+    ) {
+        // With a valid magic+version prefix the count and the accesses are
+        // arbitrary; without it the header itself is.
+        let mut bytes = Vec::new();
+        if prefixed {
+            bytes.extend_from_slice(b"GMTTRACE");
+            bytes.extend_from_slice(&1u16.to_le_bytes());
+        }
+        bytes.extend_from_slice(&tail);
         let _ = trace::decode(&bytes);
     }
 
