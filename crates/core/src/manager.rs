@@ -159,6 +159,9 @@ struct Tenant {
     metrics: TieringMetrics,
     /// Pages the tenant holds in Tier-1.
     resident: usize,
+    /// Misses that always fit one batch: the tenant's Tier-1 less, under
+    /// [`PartitionPolicy::SharedQos`], the other tenants' floors.
+    one_batch: usize,
 }
 
 /// The GMT runtime (paper §2).
@@ -306,6 +309,10 @@ impl Gmt {
             PartitionPolicy::StrictQuota => share.quota,
             _ => g.tier1_pages,
         };
+        let floors: usize = match partition {
+            PartitionPolicy::SharedQos => tenants.iter().map(|s| s.floor).sum(),
+            _ => 0,
+        };
         let tenants: Vec<Tenant> = tenants
             .iter()
             .map(|&share| Tenant {
@@ -317,6 +324,7 @@ impl Gmt {
                 bypass: BypassWindow::new(config.reuse.bypass_window),
                 metrics: TieringMetrics::default(),
                 resident: 0,
+                one_batch: slice(&share).saturating_sub(floors.saturating_sub(share.floor)),
             })
             .collect();
         let clocks = if partition.is_partitioned() {
@@ -574,6 +582,24 @@ impl Gmt {
             let clock = &self.clocks[self.clock_of(t)];
             clock.capacity() - clock.len()
         }
+    }
+
+    /// The most misses one batch of tenant `t` can serve: its clock's
+    /// capacity less, under shared QoS, the pages other tenants hold at
+    /// or below their floors, which victim selection must skip.
+    fn batch_room(&self, t: usize) -> usize {
+        let capacity = self.clocks[self.clock_of(t)].capacity();
+        if self.partition != PartitionPolicy::SharedQos {
+            return capacity;
+        }
+        let protected: usize = self
+            .tenants
+            .iter()
+            .enumerate()
+            .filter(|&(o, _)| o != t)
+            .map(|(_, other)| other.share.floor.min(other.resident))
+            .sum();
+        capacity.saturating_sub(protected).max(1)
     }
 
     /// Installs `page` in tenant `t`'s Tier-1.
@@ -1026,7 +1052,11 @@ impl MemoryBackend for Gmt {
         // A warp can miss more distinct pages than the tenant's Tier-1
         // holds at once: serve the misses (Tier-2 ones first) in batches
         // that fit, so a later batch may evict an earlier one's pages.
-        let room = clock.capacity();
+        let room = if missing <= tenant.one_batch {
+            clock.capacity()
+        } else {
+            self.batch_room(t)
+        };
         let (mut from_t2, mut from_ssd) = (0, 0);
         while from_t2 + from_ssd < missing {
             let n_t2 = (tier2_fetches.len() - from_t2).min(room);

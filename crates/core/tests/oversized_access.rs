@@ -51,3 +51,34 @@ fn a_strict_quota_tenant_serves_an_access_larger_than_its_slice() {
     assert_eq!(gmt.tenant_resident(0), 16);
     assert_eq!(gmt.tenant_resident(1), 0);
 }
+
+/// Under shared QoS a batch must leave the other tenants' floor-protected
+/// pages alone: with tenant 1 at its 8-page floor, tenant 0 can evict
+/// only its own 8 pages per batch, so a 12-page miss takes two.
+#[test]
+fn a_shared_qos_tenant_serves_an_access_larger_than_tier1_less_the_floors() {
+    for policy in PolicyKind::ALL {
+        let share = |base, floor| TenantShare {
+            base,
+            span: 32,
+            quota: 0,
+            weight: 1,
+            floor,
+        };
+        let config = GmtConfig::new(TierGeometry::from_tier1(16, 2.0, 2.0)).with_policy(policy);
+        let mut gmt = Gmt::with_tenants(
+            config,
+            PartitionPolicy::SharedQos,
+            &[share(0, 0), share(32, 8)],
+        )
+        .expect("valid config");
+        let mut now = Time::ZERO;
+        for (first, count) in [(32, 8), (0, 8), (8, 12)] {
+            now = gmt.access(now, &WarpAccess::scattered(pages(first, count), false));
+            gmt.check_invariants().expect("invariants hold");
+        }
+        assert_eq!(gmt.tenant_resident(1), 8, "{policy:?}: the floor holds");
+        assert_eq!(gmt.tenant_resident(0), 8, "{policy:?}");
+        assert_eq!(gmt.metrics().t1_misses, 28, "{policy:?}");
+    }
+}
